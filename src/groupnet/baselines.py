@@ -13,7 +13,6 @@ from typing import Optional, Union
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import rankdata
 
 from .datatypes import Dataset
 from .errors import DataFormatError, UsageError
@@ -32,6 +31,23 @@ class Metrics:
     loglik: float
     accuracy: float
     count: int
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x with ties sharing their average rank (the
+    "average" method of scipy.stats.rankdata); any nan makes every rank
+    nan, as there.  Average ranks are half-integers, so they are exact."""
+    n = x.size
+    if np.isnan(x).any():
+        return np.full(n, np.nan)
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    first = np.concatenate(([True], sorted_x[1:] != sorted_x[:-1]))
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, n))
+    ranks = np.empty(n)
+    ranks[order] = (starts + (counts + 1) / 2.0)[np.cumsum(first) - 1]
+    return ranks
 
 
 def evaluate(scores) -> Metrics:
@@ -55,7 +71,7 @@ def evaluate(scores) -> Metrics:
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     auc = None
     if n_pos and n_neg:
-        ranks = rankdata(probs)
+        ranks = _average_ranks(probs)
         auc = float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0)
                     / (n_pos * n_neg))
     return Metrics(auc, loglik, accuracy, len(pairs))

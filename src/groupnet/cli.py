@@ -90,7 +90,10 @@ def _add_hyper_opts(p):
                    help="iteration cap when folding in a node")
 
 
-def _parse_alpha(text: Optional[str], k_groups: int) -> Optional[np.ndarray]:
+def _parse_alpha(text: Optional[str],
+                 k_groups: Optional[int]) -> Optional[np.ndarray]:
+    """The --alpha pairs as a (K, 2) array, a single pair repeated for every
+    group; with k_groups None the pairs are returned as given."""
     if text is None:
         return None
     try:
@@ -100,6 +103,8 @@ def _parse_alpha(text: Optional[str], k_groups: int) -> Optional[np.ndarray]:
         raise UsageError(f"cannot parse --alpha value {text!r}") from None
     if any(len(pair) != 2 for pair in pairs):
         raise UsageError("--alpha pairs must have exactly two values")
+    if k_groups is None:
+        return np.asarray(pairs, dtype=np.float64)
     if len(pairs) == 1:
         return np.tile(np.asarray(pairs, dtype=np.float64), (k_groups, 1))
     if len(pairs) != k_groups:
@@ -109,23 +114,26 @@ def _parse_alpha(text: Optional[str], k_groups: int) -> Optional[np.ndarray]:
     return np.asarray(pairs, dtype=np.float64)
 
 
-def _make_hyper(args, k_groups: int) -> Hyperparams:
-    return Hyperparams(
-        alpha=_parse_alpha(args.alpha, k_groups),
-        lam=args.lam,
-        gamma_phi=args.gamma_phi,
-        gamma_f=args.gamma_f,
-        gamma_a=args.gamma_a,
-        clamp_eps=args.eps,
-        max_outer_iters=args.max_iters,
-        rel_tol=args.tol,
-        seed=args.seed,
-        backtrack=not args.no_backtrack,
-        inner_passes=args.inner_passes,
-        threads=args.threads,
-        phi_update=args.phi_update,
-        foldin_max_iters=args.foldin_iters,
-    )
+def _make_hyper(args, k_groups: Optional[int]) -> Hyperparams:
+    try:
+        return Hyperparams(
+            alpha=_parse_alpha(args.alpha, k_groups),
+            lam=args.lam,
+            gamma_phi=args.gamma_phi,
+            gamma_f=args.gamma_f,
+            gamma_a=args.gamma_a,
+            clamp_eps=args.eps,
+            max_outer_iters=args.max_iters,
+            rel_tol=args.tol,
+            seed=args.seed,
+            backtrack=not args.no_backtrack,
+            inner_passes=args.inner_passes,
+            threads=args.threads,
+            phi_update=args.phi_update,
+            foldin_max_iters=args.foldin_iters,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load(args) -> Dataset:
@@ -149,8 +157,9 @@ def _cmd_fit(args) -> int:
         report.init_objective
     _say(f"fit: n={data.n_nodes} l={data.n_features} k={args.k} "
          f"iters={report.outer_iters_run} converged={report.converged} "
+         f"stop_reason={report.stop_reason} "
          f"objective={final.total:.6f} "
-         f"nonzero_weights={report.nonzero_weights[-1] if report.nonzero_weights else 0} "
+         f"nonzero_weights={np.count_nonzero(state.weights.group_weights)} "
          f"wall={report.wall_time:.2f}s")
     return 0
 
@@ -258,7 +267,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_select_k(args) -> int:
     data = _load(args)
-    hyper = _make_hyper(args, 1)
+    hyper = _make_hyper(args, None)
     candidates = None
     if args.candidates:
         try:

@@ -208,6 +208,8 @@ def load_model(path: str) -> tuple[ModelState, list]:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: model file must hold a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise DataFormatError(
@@ -238,14 +240,26 @@ def load_model(path: str) -> tuple[ModelState, list]:
             foldin_max_iters=int(h["foldin_max_iters"]),
         )
         holdout = doc.get("holdout_node")
+        holdout = None if holdout is None else int(holdout)
     except KeyError as missing:
         raise DataFormatError(
             f"{path}: model file lacks field {missing.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: bad model value: {exc}") from None
     if len(node_ids) != n:
         raise DataFormatError(f"{path}: node id count does not match n")
+    for name, arr in (("phi", phi), ("theta", theta)):
+        if not ((arr > 0.0) & (arr < 1.0)).all():
+            raise DataFormatError(
+                f"{path}: {name} entries must be finite and inside (0, 1)")
+    for name, arr in (("w", w), ("alpha", alpha)):
+        if not np.isfinite(arr).all():
+            raise DataFormatError(f"{path}: {name} entries must be finite")
+    if holdout is not None and not 0 <= holdout < n:
+        raise DataFormatError(
+            f"{path}: holdout_node {holdout} is outside [0, {n})")
     state = ModelState(Memberships(phi), FeatureWeights(w),
-                       AffinityTensor(theta), hyper,
-                       None if holdout is None else int(holdout))
+                       AffinityTensor(theta), hyper, holdout)
     return state, node_ids
 
 

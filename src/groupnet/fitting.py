@@ -20,7 +20,8 @@ from scipy.special import expit
 from .datatypes import (AffinityTensor, Dataset, FeatureWeights, Hyperparams,
                         Memberships, ModelState, pair_mask)
 from .errors import NumericError, UsageError
-from .gradients import NodePairTables, grad_phi, grad_theta_all, grad_w_matrix, lasso_step
+from .gradients import (NodePairTables, grad_phi, grad_theta_all, grad_w_matrix,
+                        lasso_step_matrix)
 from .model import (ObjectiveBreakdown, feature_term, group_pair_tables,
                     l1_term, network_term, objective, prior_term)
 
@@ -39,6 +40,7 @@ class FitReport:
     wall_time: float = 0.0
     nonzero_weights: list[int] = field(default_factory=list)
     init_objective: Optional[ObjectiveBreakdown] = None
+    stop_reason: str = "max_iters"     # or "converged", "stalled"
 
 
 def init_svd(data: Dataset, k_groups: int, lam: float,
@@ -157,7 +159,7 @@ def sweep_node(state: ModelState, data: Dataset, i: int, rate: float,
 
     n_obs = 0
     if use_features and n_feats:
-        obs = data.observed[i]
+        obs = ~np.isnan(data.features[i])
         n_obs = int(obs.sum())
     if n_obs:
         norm = 1.0 if n_obs == n_feats else 1.0 / n_obs
@@ -221,48 +223,57 @@ def _phi_pass_frozen(state: ModelState, data: Dataset, rate: float):
             phi[i, k] = min(max(phi[i, k] + rate * g, eps), 1.0 - eps)
 
 
-def _w_pass(state: ModelState, data: Dataset, rate: float):
-    """One shrinkage step on every weight, gradients at the pass snapshot."""
+def _w_step(state: ModelState, data: Dataset) -> Callable[[float], None]:
+    """One shrinkage pass over every weight as a function of the rate: the
+    gradient is taken once at the pass's start point, and each call steps
+    from that point."""
     grads = grad_w_matrix(state, data)
     w = state.weights.w
-    lam = state.hyper.lam
-    k_groups = state.k_groups
-    for l in range(w.shape[0]):
-        for k in range(k_groups + 1):
-            lam_k = lam if k < k_groups else 0.0
-            w[l, k] = lasso_step(w[l, k], grads[l, k], rate, lam_k)
+    start = w.copy()
+    lambdas = np.append(np.full(state.k_groups, state.hyper.lam), 0.0)
+
+    def step(rate: float):
+        w[:] = lasso_step_matrix(start, grads, rate, lambdas)
+    return step
 
 
-def _theta_pass(state: ModelState, data: Dataset, rate: float):
+def _theta_step(state: ModelState, data: Dataset) -> Callable[[float], None]:
+    """One clamped gradient step on every affinity table as a function of
+    the rate, the gradient taken once at the pass's start point."""
     grads = grad_theta_all(state, data)
     eps = state.hyper.clamp_eps
     theta = state.affinities.theta
-    theta[:] = np.clip(theta + rate * grads, eps, 1.0 - eps)
+    start = theta.copy()
+
+    def step(rate: float):
+        theta[:] = np.clip(start + rate * grads, eps, 1.0 - eps)
+    return step
 
 
 def _guarded(mutate: Callable[[float], None], arrays: list[np.ndarray],
              partial: Callable[[], float], old_val: float, rate: float,
-             backtrack: bool, block: str) -> tuple[float, float]:
+             backtrack: bool, block: str) -> tuple[float, float, bool]:
     """Run one block pass; with backtracking, halve the rate and retry from
     the snapshot until the block's objective slice does not decrease.
-    Returns (accepted value, rate in effect)."""
+    Returns (accepted value, rate in effect, whether a step was accepted);
+    a pass that used up its halvings leaves the arrays as they were."""
     if not backtrack:
         mutate(rate)
         val = partial()
         if not np.isfinite(val):
             raise NumericError(f"objective became non-finite in the {block} block")
-        return val, rate
+        return val, rate, True
     snaps = [a.copy() for a in arrays]
     halvings = 0
     while True:
         mutate(rate)
         val = partial()
         if np.isfinite(val) and val >= old_val:
-            return val, rate
+            return val, rate, True
         for a, s in zip(arrays, snaps):
             a[:] = s
         if halvings >= _MAX_HALVINGS:
-            return old_val, rate
+            return old_val, rate, False
         halvings += 1
         rate *= 0.5
 
@@ -274,7 +285,18 @@ def fit(data: Dataset, k_groups: int, hyper: Hyperparams,
     Each outer iteration runs a membership sweep, a shrinkage pass over the
     weights, and a clamped gradient step per affinity table, in that order,
     each backtrack-guarded.  Stops when the relative objective change over
-    one outer iteration falls below rel_tol.
+    one outer iteration falls below rel_tol ("converged"), when an outer
+    iteration accepts no step in any block ("stalled"), or after
+    max_outer_iters ("max_iters").
+
+    The objective components (prior, feature, network, L1) are evaluated
+    only on trial states and carried from block to block: after every
+    guarded pass, the carried components are exactly those of the current
+    parameters (the accepted trial's, or the pre-pass ones when the guard
+    gave up and restored the arrays).  Each block's old value and the
+    per-iteration breakdown are sums of carried components, added in the
+    same order as objective() adds them, so they are bitwise equal to a
+    fresh evaluation.
 
     holdout_node, when given, removes every adjacency pair touching that
     node from all network sums (its features and prior still count), which
@@ -287,10 +309,11 @@ def fit(data: Dataset, k_groups: int, hyper: Hyperparams,
     affinities = init_theta(data, memberships, hyper.clamp_eps, holdout_node)
     state = ModelState(memberships, weights, affinities, hyper, holdout_node)
 
-    report = FitReport(init_objective=objective(state, data))
-    if not report.init_objective.is_finite():
+    init = objective(state, data)
+    report = FitReport(init_objective=init)
+    if not init.is_finite():
         raise NumericError("objective non-finite at initialization")
-    prev_total = report.init_objective.total
+    prev_total = init.total
 
     phi_pass = (_phi_pass_gauss_seidel if hyper.phi_update == "gauss-seidel"
                 else _phi_pass_frozen)
@@ -298,45 +321,60 @@ def fit(data: Dataset, k_groups: int, hyper: Hyperparams,
     w = state.weights.w
     theta = state.affinities.theta
 
+    # components at the current parameters, and at the latest trial state
+    cur = {"prior": init.l_phi, "feat": init.l_f,
+           "net": init.l_a_surrogate, "l1": init.l1_penalty}
+    trial = {}
+
+    def phi_part() -> float:
+        trial.update(prior=prior_term(state), feat=feature_term(state, data),
+                     net=network_term(state, data))
+        return trial["prior"] + trial["feat"] + trial["net"]
+
+    def w_part() -> float:
+        trial.update(feat=feature_term(state, data), l1=l1_term(state))
+        return trial["feat"] - trial["l1"]
+
+    def theta_part() -> float:
+        trial.update(net=network_term(state, data))
+        return trial["net"]
+
+    def run_block(block, make_step, array, partial, old, rate) -> bool:
+        """The block's guarded passes; True when any of them moved."""
+        moved = False
+        for _ in range(hyper.inner_passes):
+            trial.clear()     # carry only pieces this pass evaluated
+            old, rate, accepted = _guarded(make_step(), [array], partial, old,
+                                           rate, hyper.backtrack, block)
+            if accepted:
+                cur.update(trial)
+                moved = True
+        return moved
+
     for _ in range(hyper.max_outer_iters):
-        rate_phi, rate_f, rate_a = hyper.gamma_phi, hyper.gamma_f, hyper.gamma_a
+        moved = run_block("membership", lambda: lambda r: phi_pass(state, data, r),
+                          phi, phi_part, cur["prior"] + cur["feat"] + cur["net"],
+                          hyper.gamma_phi)
+        moved |= run_block("weight", lambda: _w_step(state, data), w, w_part,
+                           cur["feat"] - cur["l1"], hyper.gamma_f)
+        moved |= run_block("affinity", lambda: _theta_step(state, data), theta,
+                           theta_part, cur["net"], hyper.gamma_a)
 
-        def phi_part() -> float:
-            return (prior_term(state) + feature_term(state, data)
-                    + network_term(state, data))
-
-        def w_part() -> float:
-            return feature_term(state, data) - l1_term(state)
-
-        def theta_part() -> float:
-            return network_term(state, data)
-
-        old = phi_part()
-        for _ in range(hyper.inner_passes):
-            old, rate_phi = _guarded(lambda r: phi_pass(state, data, r), [phi],
-                                     phi_part, old, rate_phi, hyper.backtrack,
-                                     "membership")
-        old = w_part()
-        for _ in range(hyper.inner_passes):
-            old, rate_f = _guarded(lambda r: _w_pass(state, data, r), [w],
-                                   w_part, old, rate_f, hyper.backtrack,
-                                   "weight")
-        old = theta_part()
-        for _ in range(hyper.inner_passes):
-            old, rate_a = _guarded(lambda r: _theta_pass(state, data, r), [theta],
-                                   theta_part, old, rate_a, hyper.backtrack,
-                                   "affinity")
-
-        snap = objective(state, data)
+        snap = ObjectiveBreakdown(cur["prior"], cur["feat"], cur["net"],
+                                  cur["l1"])
         if not snap.is_finite():
             raise NumericError("objective became non-finite after an outer iteration")
         report.objective_trace.append(snap)
         report.nonzero_weights.append(int(np.count_nonzero(w[:, :k_groups])))
         report.outer_iters_run += 1
+        if not moved:
+            report.stop_reason = "stalled"
+            break
         rel = abs(snap.total - prev_total) / max(abs(prev_total), 1e-12)
         prev_total = snap.total
         if rel < hyper.rel_tol:
             report.converged = True
+            report.stop_reason = "converged"
             break
 
     report.wall_time = time.perf_counter() - t0

@@ -22,7 +22,7 @@ from scipy.special import expit
 from .datatypes import Dataset, ModelState
 
 __all__ = ["PhiGradient", "grad_phi", "grad_w", "grad_w_matrix",
-           "lasso_step", "grad_theta", "grad_theta_all"]
+           "lasso_step", "lasso_step_matrix", "grad_theta", "grad_theta_all"]
 
 
 @dataclass
@@ -153,7 +153,7 @@ def feature_grad_phi(state: ModelState, data: Dataset, i: int, k: int) -> float:
     features; plain sum when the row is fully observed; zero when nothing
     is observed.
     """
-    obs = data.observed[i]
+    obs = ~np.isnan(data.features[i])
     n_obs = int(obs.sum())
     if n_obs == 0:
         return 0.0
@@ -216,6 +216,20 @@ def lasso_step(w_old: float, grad: float, gamma_f: float, lambda_k: float) -> fl
     if w_old != 0.0 and cand * w_old < 0.0:
         return 0.0
     return cand
+
+
+def lasso_step_matrix(w: np.ndarray, grads: np.ndarray, gamma_f: float,
+                      lambdas: np.ndarray) -> np.ndarray:
+    """lasso_step applied to every entry at once; lambdas broadcasts against
+    w (one strength per column, 0 for the intercept).  Each entry takes the
+    same floating-point operations as the scalar reference, so the result
+    is bitwise equal to it, signed zeros included."""
+    zero = w == 0.0
+    ref = np.where(zero, np.where(grads > 0, 1.0, -1.0),
+                   np.where(w > 0, 1.0, -1.0))
+    cand = w + gamma_f * grads - lambdas * ref
+    dead = np.where(zero, gamma_f * np.abs(grads) <= lambdas, cand * w < 0.0)
+    return np.where(dead, 0.0, cand)
 
 
 def _theta_grad_parts(state: ModelState, data: Dataset):

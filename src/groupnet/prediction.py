@@ -67,7 +67,7 @@ def _foldin_partial(state: ModelState, data: Dataset, i: int,
     val = float(((alpha[:, 0] - 1.0) * np.log(phi_row)
                  + (alpha[:, 1] - 1.0) * np.log(1.0 - phi_row)).sum())
     if use_features and data.n_features:
-        obs = data.observed[i]
+        obs = ~np.isnan(data.features[i])
         n_obs = int(obs.sum())
         if n_obs:
             w = state.weights.w

@@ -8,7 +8,7 @@ on mean held-out log-likelihood.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -37,12 +37,24 @@ def _default_candidates(n_nodes: int, n_features: int) -> list[int]:
     return [k for k in range(center - 2, center + 3) if 1 <= k <= cap]
 
 
+def _hyper_for(hyper: Hyperparams, k_groups: int) -> Hyperparams:
+    """hyper with its Beta prior sized for k_groups: a single (a1, a2) pair
+    applies to every group, per-group pairs must match the count."""
+    if hyper.alpha is None or hyper.alpha.shape[0] == k_groups:
+        return hyper
+    if hyper.alpha.shape[0] == 1:
+        return replace(hyper, alpha=np.tile(hyper.alpha, (k_groups, 1)))
+    raise UsageError(f"alpha gives {hyper.alpha.shape[0]} per-group pairs but "
+                     f"candidate K={k_groups} has {k_groups} groups")
+
+
 def select_k(data: Dataset, hyper: Hyperparams,
              candidates: Optional[list] = None, reps: int = 20,
              cv_task: str = "features") -> KSelectionReport:
     """Pick the group count whose refits best predict held-out nodes.
 
-    Default candidates bracket log2 of the node count.  Each repetition
+    Default candidates bracket log2 of the node count.  A single-row alpha
+    in hyper applies to every group of every candidate.  Each repetition
     draws one validation node from a seed derived from (seed, repetition)
     and every candidate is scored on that same node, so reports are
     reproducible and comparisons share their folds.  Ties prefer the
@@ -63,6 +75,7 @@ def select_k(data: Dataset, hyper: Hyperparams,
     if not cand:
         raise UsageError("candidate set is empty after clipping to "
                          f"[1, min(n_nodes, n_features)] = [1, {cap}]")
+    hypers = [_hyper_for(hyper, k) for k in cand]
 
     if cv_task == "features":
         eligible = np.flatnonzero(data.observed.any(axis=1))
@@ -82,10 +95,10 @@ def select_k(data: Dataset, hyper: Hyperparams,
             work.features[u, :] = np.nan
         for ki, k in enumerate(cand):
             if cv_task == "features":
-                state, _ = fit(work, k, hyper)
+                state, _ = fit(work, k, hypers[ki])
                 res = predict_missing_features(state, work, u, truth=truth)
             else:
-                state, _ = fit(data, k, hyper, holdout_node=u)
+                state, _ = fit(data, k, hypers[ki], holdout_node=u)
                 res = predict_links(state, data, u)
             lls[ki].append(res.loglik)
     stats = []

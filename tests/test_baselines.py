@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
-from groupnet.baselines import (Metrics, _ccl_design, _logistic_fit,
-                                baseline_avg, baseline_ccl, baseline_ccn,
-                                evaluate)
+from groupnet.baselines import (Metrics, _average_ranks, _ccl_design,
+                                _logistic_fit, baseline_avg, baseline_ccl,
+                                baseline_ccn, evaluate)
 from groupnet.dataio import load_dataset
 from groupnet.datatypes import Dataset
 from groupnet.errors import DataFormatError, UsageError
@@ -61,6 +64,31 @@ def star_graph():
 def edgeless_graph():
     return load_dataset(asset("ccl_newton.edges.tsv"),
                         asset("ccl_newton.features.tsv"))
+
+
+class TestAverageRanks:
+    """The NumPy ranks that evaluate uses against scipy's rankdata."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, 0.9, 1.0,
+                                     1e-300, 1.0 - 1e-16]),
+                    min_size=1, max_size=40))
+    def test_ties_match_rankdata_bitwise(self, values):
+        x = np.array(values)
+        got = _average_ranks(x)
+        assert np.array_equal(got.view(np.int64), rankdata(x).view(np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1,
+                    max_size=60))
+    def test_arbitrary_floats_match_rankdata_bitwise(self, values):
+        x = np.array(values)
+        got = _average_ranks(x)
+        assert np.array_equal(got.view(np.int64), rankdata(x).view(np.int64))
+
+    def test_nan_makes_every_rank_nan(self):
+        assert np.isnan(_average_ranks(np.array([0.2, np.nan, 0.1]))).all()
+        assert np.isnan(rankdata([0.2, np.nan, 0.1])).all()
 
 
 class TestEvaluate:

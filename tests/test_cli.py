@@ -60,6 +60,28 @@ class TestFitCommand:
             assert 0.0 <= p <= 1.0
         assert doc["loglik"] is not None
 
+    def test_summary_names_the_stop_reason(self, tmp_path, capsys):
+        edges, feats = synth_files(tmp_path)
+        code = main(["fit", "--edges", edges, "--features", feats,
+                     "--k", "2", "--max-iters", "2",
+                     "--out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert "converged=False stop_reason=max_iters" in err
+
+    def test_summary_counts_weights_of_the_returned_model(self, tmp_path,
+                                                          capsys):
+        edges, feats = synth_files(tmp_path)
+        model = str(tmp_path / "m.json")
+        assert main(["fit", "--edges", edges, "--features", feats,
+                     "--k", "2", "--max-iters", "0", "--out", model]) == 0
+        err = capsys.readouterr().err
+        with open(model, encoding="utf-8") as fh:
+            w = [[float(v) for v in row] for row in json.load(fh)["w"]]
+        nonzero = sum(v != 0.0 for row in w for v in row[:-1])
+        assert nonzero > 0
+        assert f"nonzero_weights={nonzero} " in err
+
     def test_stdout_model_is_valid_json(self, tmp_path, capsys):
         edges, feats = synth_files(tmp_path, n=8, l=2, k=1, seed=2)
         doc = run_json(capsys, ["fit", "--edges", edges, "--features", feats,
@@ -134,6 +156,27 @@ class TestClassifyCommand:
 
 
 class TestSelectKCommand:
+    def test_single_alpha_pair_applies_to_every_candidate(self, tmp_path,
+                                                          capsys):
+        edges, feats = synth_files(tmp_path, n=14, l=4, k=2, seed=3)
+        doc = run_json(capsys, ["select-k", "--edges", edges,
+                                "--features", feats, "--candidates", "1,2",
+                                "--reps", "1", "--max-iters", "2",
+                                "--alpha", "2,2"])
+        assert doc["candidates"] == [1, 2]
+
+    def test_per_group_alpha_must_match_every_candidate(self, tmp_path,
+                                                        capsys):
+        edges, feats = synth_files(tmp_path, n=14, l=4, k=2, seed=3)
+        capsys.readouterr()
+        code = main(["select-k", "--edges", edges, "--features", feats,
+                     "--candidates", "1,2", "--reps", "1",
+                     "--max-iters", "2", "--alpha", "2,2;3,3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("groupnet: error:") and "K=1" in err
+        assert err.count("\n") == 1
+
     def test_reports_candidates_and_choice(self, tmp_path, capsys):
         edges, feats = synth_files(tmp_path, n=14, l=4, k=2, seed=3)
         doc = run_json(capsys, ["select-k", "--edges", edges,
@@ -221,6 +264,41 @@ class TestExitCodes:
                      "--node", "n0000"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [["--gamma-phi", "0"], ["--eps", "0.7"],
+                                       ["--gamma-a", "-1"],
+                                       ["--lambda", "-0.1"],
+                                       ["--alpha", "0,1"]])
+    def test_rejected_hyperparameters_are_usage(self, tmp_path, capsys,
+                                                flags):
+        edges, feats = synth_files(tmp_path, n=6, l=2, k=1)
+        capsys.readouterr()
+        code = main(["fit", "--edges", edges, "--features", feats,
+                     "--k", "1"] + flags)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("groupnet: error:")
+        assert captured.err.count("\n") == 1
+
+    def test_model_with_affinity_on_the_boundary_is_two(self, tmp_path,
+                                                       capsys):
+        edges, feats = synth_files(tmp_path, n=6, l=2, k=1)
+        model = tmp_path / "m.json"
+        assert main(["fit", "--edges", edges, "--features", feats,
+                     "--k", "1", "--max-iters", "2",
+                     "--out", str(model)]) == 0
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        doc["theta"][0][0][0] = "0.0"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["predict-features", "--model", str(model),
+                     "--edges", edges, "--features", feats,
+                     "--node", "n0000", "--mask", "all"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "theta" in captured.err and captured.err.count("\n") == 1
 
     def test_bad_alpha_string_is_usage(self, tmp_path, capsys):
         edges, feats = synth_files(tmp_path, n=6, l=2, k=1)

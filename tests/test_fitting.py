@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from groupnet import fitting
 from groupnet.datatypes import Dataset, Hyperparams, Memberships
 from groupnet.errors import UsageError
 from groupnet.fitting import fit, init_svd, init_theta
 from groupnet.model import feature_prob, group_pair_tables, objective
+from groupnet.synth import synth_generate
 
 from conftest import make_state, random_instance
 
@@ -182,6 +184,7 @@ class TestFit:
             warnings.simplefilter("ignore")
             state, report = fit(data, 1, hyper)
         assert report.converged
+        assert report.stop_reason == "converged"
         assert feature_prob(state, 0, 0) > 0.9
         eps = hyper.clamp_eps
         assert np.all((state.memberships.phi >= eps)
@@ -267,3 +270,79 @@ class TestFit:
         model, report = fit(data, 1, hyper)
         assert report.outer_iters_run >= 1
         assert objective(model, data).is_finite()
+
+
+def breakdown_bits(b):
+    return np.array([b.l_phi, b.l_f, b.l_a_surrogate,
+                     b.l1_penalty]).view(np.int64)
+
+
+class TestFitLoop:
+    """Stop reasons, and the loop's reuse of gradients and objective pieces."""
+
+    def test_guards_that_all_give_up_report_a_stall(self):
+        data, _ = synth_generate(30, 6, 2, planted="homophily", seed=0)
+        hyper = Hyperparams(gamma_phi=1e7, gamma_f=1e7, gamma_a=1e7)
+        model, report = fit(data, 2, hyper)
+        assert report.stop_reason == "stalled"
+        assert not report.converged
+        totals = [report.init_objective.total] + [
+            b.total for b in report.objective_trace]
+        assert totals[-1] == totals[-2]
+
+    def test_iteration_cap_is_its_own_stop_reason(self):
+        _, data = random_instance(99, n=12, k=2, l=4)
+        _, report = fit(data, 2, Hyperparams(max_outer_iters=2))
+        assert report.stop_reason == "max_iters"
+        assert report.outer_iters_run == 2 and not report.converged
+        _, report = fit(data, 2, Hyperparams(max_outer_iters=0))
+        assert report.stop_reason == "max_iters"
+        assert report.objective_trace == []
+
+    @pytest.mark.parametrize("kw", [
+        {}, {"backtrack": False}, {"inner_passes": 2},
+        {"gamma_phi": 50.0, "gamma_f": 50.0, "gamma_a": 50.0},
+        {"lam": 0.5, "alpha": [[2.0, 3.0], [1.5, 1.2]]},
+        {"phi_update": "frozen"}])
+    def test_carried_breakdown_equals_a_fresh_objective_bitwise(self, kw):
+        _, data = random_instance(100, n=14, k=2, l=5, missing=0.2)
+        model, report = fit(data, 2, Hyperparams(max_outer_iters=5, **kw),
+                            holdout_node=4)
+        assert np.array_equal(breakdown_bits(report.objective_trace[-1]),
+                              breakdown_bits(objective(model, data)))
+
+    def test_each_guarded_pass_takes_its_gradient_once(self, monkeypatch):
+        calls = {"grad_theta_all": 0, "grad_w_matrix": 0}
+        passes = {"affinity": 0, "weight": 0, "membership": 0}
+        attempts = dict.fromkeys(passes, 0)
+
+        def counted(name):
+            original = getattr(fitting, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapped
+
+        original_guard = fitting._guarded
+
+        def guard(mutate, arrays, partial, old_val, rate, backtrack, block):
+            passes[block] += 1
+
+            def counted_mutate(r):
+                attempts[block] += 1
+                mutate(r)
+            return original_guard(counted_mutate, arrays, partial, old_val,
+                                  rate, backtrack, block)
+
+        for name in calls:
+            monkeypatch.setattr(fitting, name, counted(name))
+        monkeypatch.setattr(fitting, "_guarded", guard)
+        _, data = random_instance(101, n=14, k=2, l=4)
+        fit(data, 2, Hyperparams(max_outer_iters=4, gamma_a=50.0,
+                                 gamma_f=50.0, inner_passes=2))
+        # the oversized rates force halvings, which reuse the gradient
+        assert attempts["affinity"] > passes["affinity"] > 0
+        assert attempts["weight"] > passes["weight"] > 0
+        assert calls["grad_theta_all"] == passes["affinity"]
+        assert calls["grad_w_matrix"] == passes["weight"]

@@ -5,7 +5,8 @@ import pytest
 
 from groupnet.datatypes import Dataset
 from groupnet.gradients import (NodePairTables, _theta_grad_parts, grad_phi,
-                                grad_theta, grad_w, grad_w_matrix, lasso_step)
+                                grad_theta, grad_w, grad_w_matrix, lasso_step,
+                                lasso_step_matrix)
 from groupnet.model import (feature_term, network_term, pair_expectation,
                             prior_term)
 
@@ -192,6 +193,57 @@ class TestLassoStep:
 
     def test_intercept_path_is_plain_gradient(self):
         assert lasso_step(0.4, -1.0, 0.1, 0.0) == pytest.approx(0.3, abs=1e-15)
+
+
+def scalar_lasso(w, grads, gamma_f, lambdas):
+    lambdas = np.broadcast_to(lambdas, w.shape)
+    out = np.empty_like(w)
+    for idx in np.ndindex(w.shape):
+        out[idx] = lasso_step(w[idx], grads[idx], gamma_f, float(lambdas[idx]))
+    return out
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64),
+                          np.asarray(b).view(np.int64))
+
+
+class TestLassoStepMatrix:
+    """The array form must be bitwise the scalar reference, signed zeros
+    included (compared through int64 views)."""
+
+    def test_random_matrices_with_signed_zeros(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            l, k = rng.integers(1, 9), rng.integers(1, 5)
+            w = rng.normal(size=(l, k + 1))
+            w[rng.random(w.shape) < 0.3] = 0.0
+            w[rng.random(w.shape) < 0.2] = -0.0
+            grads = rng.normal(size=w.shape) * rng.choice([1e-3, 1.0, 50.0])
+            grads[rng.random(w.shape) < 0.1] = 0.0
+            gamma_f = float(rng.choice([1e-3, 0.005, 0.5, 8.0]))
+            lambdas = np.append(np.full(k, rng.uniform(0.0, 0.3)), 0.0)
+            got = lasso_step_matrix(w, grads, gamma_f, lambdas)
+            assert same_bits(got, scalar_lasso(w, grads, gamma_f, lambdas))
+
+    def test_intercept_column_without_penalty(self):
+        w = np.array([[0.0, -0.0, 0.4, -0.25]])
+        grads = np.array([[0.0, 0.0, -4.0, 2.5]])
+        lambdas = np.array([0.1, 0.0, 0.0, 0.0])
+        got = lasso_step_matrix(w, grads, 0.1, lambdas)
+        assert same_bits(got, scalar_lasso(w, grads, 0.1, lambdas))
+        # an exact cancellation lands on +0.0 in both forms
+        assert same_bits(got[0, 2:], [0.0, 0.0])
+
+    def test_gradients_exactly_at_the_threshold(self):
+        # gamma_f * |grad| == lambda exactly (powers of two): stays inactive
+        w = np.array([[0.0, -0.0, 0.0, -0.0, 0.5, -0.5]])
+        grads = np.array([[0.5, -0.5, 0.5000000000000001, -0.5000000000000001,
+                           0.5, -0.5]])
+        got = lasso_step_matrix(w, grads, 0.5, 0.25)
+        assert same_bits(got, scalar_lasso(w, grads, 0.5, 0.25))
+        assert same_bits(got[0, :2], [0.0, 0.0])
+        assert got[0, 2] > 0 > got[0, 3]
 
 
 class TestGradTheta:

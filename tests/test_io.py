@@ -180,6 +180,11 @@ class TestModelRoundTrip:
         with pytest.raises(DataFormatError, match="not valid JSON"):
             load_model(path)
 
+    @pytest.mark.parametrize("text", ["[]", "3", '"model"', "null"])
+    def test_json_that_is_not_an_object(self, tmp_path, text):
+        with pytest.raises(DataFormatError, match="JSON object"):
+            load_model(write(tmp_path, "m.json", text))
+
     def test_mismatched_node_ids(self, tmp_path):
         state, data = random_instance(166, n=3, k=1, l=2)
         with pytest.raises(DataFormatError):
@@ -193,6 +198,43 @@ class TestModelRoundTrip:
     def test_missing_file_is_a_usage_error(self, tmp_path):
         with pytest.raises(UsageError, match="cannot read"):
             load_model(str(tmp_path / "no-model.json"))
+
+    @pytest.mark.parametrize("field,path,value,match", [
+        ("theta", (0, 0, 0), "0.0", "theta"),
+        ("theta", (0, 1, 1), "1.0", "theta"),
+        ("theta", (0, 1, 0), "nan", "theta"),
+        ("phi", (2, 0), "1.0", "phi"),
+        ("phi", (1, 0), "-0.25", "phi"),
+        ("phi", (0, 0), "inf", "phi"),
+        ("w", (1, 0), "nan", "w entries"),
+        ("alpha", (0, 1), "0.0", "alpha"),
+        ("alpha", (0, 0), "inf", "alpha"),
+    ])
+    def test_out_of_range_values_are_data_errors(self, tmp_path, field,
+                                                 path, value, match):
+        state, data = random_instance(167, n=4, k=1, l=2)
+        doc = json.loads(save_model(state, data.node_ids))
+        target = doc[field]
+        for i in path[:-1]:
+            target = target[i]
+        target[path[-1]] = value
+        with pytest.raises(DataFormatError, match=match):
+            load_model(write(tmp_path, "m.json", json.dumps(doc)))
+
+    @pytest.mark.parametrize("holdout", [4, -1, "x"])
+    def test_holdout_outside_the_node_range(self, tmp_path, holdout):
+        state, data = random_instance(168, n=4, k=1, l=2)
+        doc = json.loads(save_model(state, data.node_ids))
+        doc["holdout_node"] = holdout
+        with pytest.raises(DataFormatError):
+            load_model(write(tmp_path, "m.json", json.dumps(doc)))
+
+    def test_rejected_hyperparameters_are_data_errors(self, tmp_path):
+        state, data = random_instance(169, n=4, k=1, l=2)
+        doc = json.loads(save_model(state, data.node_ids))
+        doc["hyper"]["gamma_phi"] = "0.0"
+        with pytest.raises(DataFormatError, match="gamma_phi"):
+            load_model(write(tmp_path, "m.json", json.dumps(doc)))
 
 
 class TestLoadScores:
